@@ -1,36 +1,54 @@
-"""Trace-scale benchmark: sharded replay vs the pre-PR single kernel.
+"""Trace-scale benchmark: the sharded lean replayer at 10× trace scale.
 
-Re-measures the reduced (10×) matrix — ~70k invocations through the
-baseline eager-replay path and the sharded lean kernel — and asserts
-the shape the committed ``BENCH_trace_scale.json`` records: the lean
-sharded engine beats the pre-existing single kernel well past the CI
-floor, and every configuration replays the identical stream.
+Two checks on the reduced fig10_full stream (1,000 functions, ~70k
+invocations):
+
+* shard-count invariance: the rendered fig10_full result is
+  byte-identical unsharded on the serial executor and with 2 shards on
+  the auto executor (the window length is a model parameter, so
+  partitioning and the process-vs-serial executor must never leak into
+  results);
+* the re-measured matrix clears the events/sec floor committed in
+  ``BENCH_trace_scale.json`` on every row, and every row replays the
+  identical stream.
 """
 
+import json
+from pathlib import Path
+
+from repro.experiments import run_fig10_full
 from repro.experiments.bench_trace_scale import FLOORS, trace_scale_matrix
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_fig10_full_10x_is_shard_count_invariant():
+    base = run_fig10_full(scale=10.0, shards=1, executor="serial")
+    sharded = run_fig10_full(scale=10.0, shards=2, executor="auto")
+    assert base.render() == sharded.render(), (
+        "sharded replay KPIs must be shard-count invariant"
+    )
+    print()
+    print(sharded.render())
+    for platform, stats in sorted(sharded.meta["platforms"].items()):
+        print(f"{platform}: {stats['wall_seconds']:.2f}s wall, "
+              f"{stats['events']:,} events, {stats['windows']} windows")
 
 
 def test_trace_scale_10x_matrix(benchmark):
+    floors = json.loads((REPO_ROOT / "BENCH_trace_scale.json").read_text())["floors"]
+    assert floors == FLOORS
     matrix = benchmark.pedantic(
         trace_scale_matrix, args=(10.0,), rounds=1, iterations=1
     )
-    rows = {
-        (row.get("engine"), row.get("shards"), row.get("executor")): row
-        for row in matrix["rows"]
-    }
-    baseline = rows[("baseline_single_kernel", None, None)]
-    lean_1 = rows[("lean", 1, "serial")]
-    assert baseline["invocations"] == lean_1["invocations"] > 50_000
     print()
     for row in matrix["rows"]:
-        label = f"{row['engine']}-{row.get('shards', 1)}-{row.get('executor', '')}"
-        print(f"{label:32s} {row['wall_seconds']:8.2f}s")
-    print(f"speedup lean-1 vs baseline:   {matrix['speedup_lean_1_vs_baseline']}x")
-    print(f"speedup 4-shard vs baseline:  {matrix['speedup_4_shards_vs_baseline']}x")
-    assert matrix["speedup_lean_1_vs_baseline"] >= FLOORS["speedup_lean_1_min_10x"]
-    assert (
-        matrix["speedup_4_shards_vs_baseline"] >= FLOORS["speedup_4_shards_min_10x"]
-    )
+        label = f"lean-{row['shards']}-{row['executor']}"
+        print(f"{label:20s} {row['wall_seconds']:8.2f}s "
+              f"{row['events_per_second']:>10,} events/s")
+    assert {row["invocations"] for row in matrix["rows"]} == {
+        matrix["rows"][0]["invocations"]
+    }, "all rows must replay the same stream"
+    assert matrix["rows"][0]["invocations"] > 50_000
     for row in matrix["rows"]:
-        if row["engine"] == "lean":
-            assert row["events_per_second"] >= FLOORS["events_per_second_min"]
+        assert row["events_per_second"] >= floors["events_per_second_min"], row

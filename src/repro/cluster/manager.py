@@ -141,8 +141,11 @@ class ClusterManager:
         # routing fast path builds its snapshot in O(1).
         self._healthy_indices: tuple = ()
         # Cluster-side processes waiting on each worker; interrupted
-        # (and re-routed) when that worker fail-stops.
-        self._crash_waiters: dict[int, set] = {}
+        # (and re-routed) when that worker fail-stops.  Insertion-ordered
+        # dicts used as sets: interrupts go out in the order the waiters
+        # started, never in id()-hash order, so re-routing is
+        # deterministic.
+        self._crash_waiters: dict[int, dict] = {}
         self.latencies = LatencyRecorder("cluster")
         self.failed_latencies = LatencyRecorder("cluster-failed")
         self.invocations_routed = 0
@@ -199,7 +202,7 @@ class ClusterManager:
         self._healthy[index] = True
         self._refresh_healthy_indices()
         self._refresh_preferred_indices()
-        self._crash_waiters[index] = set()
+        self._crash_waiters[index] = {}
         self.per_worker_invocations[index] = 0
         self.per_worker_failures[index] = 0
         self.per_worker_crashes[index] = 0
@@ -433,7 +436,7 @@ class ClusterManager:
             self.per_worker_invocations[index] += 1
             self.invocations_routed += 1
             waiter = self.env.active_process
-            self._crash_waiters[index].add(waiter)
+            self._crash_waiters[index][waiter] = None
             crashed = False
             attempt_started = self.env.now
             try:
@@ -445,7 +448,7 @@ class ClusterManager:
                 # doing is lost.  Re-route to a healthy peer.
                 crashed = True
             finally:
-                self._crash_waiters[index].discard(waiter)
+                self._crash_waiters[index].pop(waiter, None)
                 if self._in_flight.get(index, 0) > 0:
                     self._in_flight[index] -= 1
             if crashed:
@@ -524,7 +527,7 @@ class ClusterManager:
         decisions must already see the load this attempt adds.
         """
         waiter = self.env.active_process
-        self._crash_waiters[index].add(waiter)
+        self._crash_waiters[index][waiter] = None
         attempt_started = self.env.now
         try:
             result = yield self.workers[index].frontend.invoke(
@@ -533,7 +536,7 @@ class ClusterManager:
         except Interrupt:
             return (index, None)
         finally:
-            self._crash_waiters[index].discard(waiter)
+            self._crash_waiters[index].pop(waiter, None)
             if self._in_flight.get(index, 0) > 0:
                 self._in_flight[index] -= 1
         self._observe_latency(index, self.env.now - attempt_started)

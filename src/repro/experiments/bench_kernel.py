@@ -737,28 +737,24 @@ def bench_fig05_full() -> float:
 
 
 def _bench_trace_scale_group() -> dict:
-    """Sharded replay vs the pre-PR single kernel at 10× trace scale.
+    """The sharded lean replayer at 10× trace scale.
 
     Delegates to :mod:`.bench_trace_scale`, which also refreshes
-    ``BENCH_trace_scale.json`` (its own gated report, carrying the 100×
-    acceptance record alongside the re-measured 10× matrix).
+    ``BENCH_trace_scale.json`` (its own gated report, carrying the
+    frozen 10×/100× reference records alongside the re-measured 10×
+    matrix).
     """
     from .bench_trace_scale import DEFAULT_OUTPUT as TRACE_SCALE_OUTPUT
     from .bench_trace_scale import run_trace_scale_bench
 
     report = run_trace_scale_bench(scales=(10.0,), output=TRACE_SCALE_OUTPUT)
-    matrix = report["measured"]["scale_10x"]
     return {
-        "baseline_single_kernel": {
-            "seconds": matrix["rows"][0]["wall_seconds"],
-            "operations": matrix["rows"][0]["invocations"],
-        },
-        "sharded_lean_4_auto": {
-            "seconds": matrix["rows"][-1]["wall_seconds"],
-            "operations": matrix["rows"][-1]["invocations"],
-            "ops_per_second": matrix["rows"][-1]["events_per_second"],
-        },
-        "speedup_4_shards_vs_baseline": matrix["speedup_4_shards_vs_baseline"],
+        f"sharded_lean_{row['shards']}_{row['executor']}": {
+            "seconds": row["wall_seconds"],
+            "operations": row["events"],
+            "ops_per_second": row["events_per_second"],
+        }
+        for row in report["measured"]["scale_10x"]["rows"]
     }
 
 

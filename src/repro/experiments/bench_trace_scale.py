@@ -1,27 +1,22 @@
-"""Trace-scale benchmark: sharded replay vs the pre-PR single kernel.
+"""Trace-scale benchmark: the sharded lean replayer at 10× trace scale.
 
-Times the sharded simulator (:mod:`repro.sim.sharded`) against the
-baseline the repo had before it existed — eager trace materialization
-(:meth:`~repro.trace.stream.StreamedTrace.materialize`) plus
-:func:`~repro.trace.replay.replay_on_dandelion` on one pooled-core
-kernel — at the *same* invocation stream and aggregate core count.
-The numbers land in ``BENCH_trace_scale.json``; the CI trace-scale
-smoke job re-measures the reduced (10×) matrix and gates on
-:data:`FLOORS`, and the 100× acceptance record (measured once on the
-development machine, like ``bench_kernel.REFERENCE``) is carried in
-:data:`REFERENCE_100X`.
+Times :mod:`repro.sim.sharded` over one streamed invocation stream at
+several shard counts and executors.  The numbers land in
+``BENCH_trace_scale.json``; ``benchmarks/test_trace_scale.py`` (the CI
+trace-scale job) re-measures the 10× matrix, gates every row on
+:data:`FLOORS` and checks the shard-count invariance of the rendered
+``fig10_full`` result.
 
 Scale is relative to ``run_fig10``'s 100-function sample: ``scale=10``
 is 1,000 functions at 120 rps aggregate over the same 1200 s window
 (~70k invocations), ``scale=100`` is the fig10_full headline (10,000
 functions, ~670k invocations).
 
-The baseline's wall-clock grows *superlinearly* with scale (eager
-generation materializes and sorts every invocation; the single
-``Resource`` with thousands of pooled cores keeps deep waiter queues),
-which is exactly the "trace construction starts to rival the
-simulation" failure mode streamed generation + sharding remove — so
-the speedup at 100× is much larger than at 10×.
+The sharded replayer is the repo's only trace-replay model.  The eager
+single-kernel replayer and the generator+``Resource`` shard kernel it
+replaced are gone; their last measurements stay as frozen reference
+numbers (:data:`REFERENCE_10X`, :data:`REFERENCE_100X`), measured on
+the development machine like ``bench_kernel.REFERENCE``.
 """
 
 from __future__ import annotations
@@ -37,24 +32,42 @@ __all__ = [
     "trace_scale_matrix",
     "DEFAULT_OUTPUT",
     "FLOORS",
+    "REFERENCE_10X",
     "REFERENCE_100X",
 ]
 
 DEFAULT_OUTPUT = "BENCH_trace_scale.json"
 
-# CI gates (see .github/workflows/ci.yml, trace-scale job).  The 10×
-# floors are re-measured on every CI run and set conservatively —
-# they must hold even on a single-CPU host where the 4-shard run
-# falls back to serial stepping and sharding is pure per-window
-# overhead (the lean-1 ratio is the core-count-independent gate; the
-# 4-shard floor just forbids sharding from losing to the baseline).
-# The 100× floor is the acceptance record, asserted against
-# REFERENCE_100X whenever the benchmark is (re)generated.
+# CI gate (benchmarks/test_trace_scale.py): every re-measured row must
+# clear the events/sec floor, set to hold even on a single-CPU host
+# where the 4-shard run falls back to serial stepping.  The 100× floor
+# is the acceptance record, asserted against REFERENCE_100X whenever
+# the benchmark is (re)generated.
 FLOORS = {
     "events_per_second_min": 40_000,
-    "speedup_lean_1_min_10x": 2.0,
-    "speedup_4_shards_min_10x": 1.0,
     "speedup_4_shards_min_100x": 3.0,
+}
+
+# Last 10× measurement of the deleted kernels (scale=10: 1,000
+# functions, 69,633 invocations, 4×64-core fleet) on the same 1-CPU
+# development machine as REFERENCE_100X: the eager single-kernel
+# replayer (trace materialization + one pooled-core kernel) and the
+# generator+Resource shard kernel, next to the lean kernel of the same
+# run.  Frozen: nothing re-measures them.
+REFERENCE_10X = {
+    "scale": 10,
+    "invocations": 69_633,
+    "workers": 4,
+    "cores_per_worker": 64,
+    "cpu_count": 1,
+    "baseline_single_kernel_seconds": 2.387,
+    "baseline_trace_materialize_seconds": 0.326,
+    "sharded_classic_1_serial_seconds": 1.533,
+    "sharded_lean_1_serial_seconds": 0.698,
+    "sharded_lean_4_auto_seconds": 1.118,
+    "speedup_lean_1_vs_baseline": 3.42,
+    "speedup_4_shards_vs_baseline": 2.14,
+    "machine": "Linux x86_64 dev container, CPython 3.11, 1 CPU",
 }
 
 # Measured once at full fig10_full scale (scale=100: 10,000 functions,
@@ -103,39 +116,19 @@ def _scaled_params(scale: float) -> dict:
     }
 
 
-def _baseline_single_kernel(trace, total_cores: int) -> dict:
-    """The pre-PR path: eager materialization + one pooled-core kernel."""
-    from ..trace.replay import replay_on_dandelion
-
-    start = time.perf_counter()
-    eager = trace.materialize()
-    materialized = time.perf_counter()
-    report = replay_on_dandelion(eager, cores=total_cores)
-    done = time.perf_counter()
-    return {
-        "engine": "baseline_single_kernel",
-        "invocations": report.total_requests,
-        "trace_materialize_seconds": round(materialized - start, 3),
-        "replay_seconds": round(done - materialized, 3),
-        "wall_seconds": round(done - start, 3),
-    }
-
-
-def _sharded_row(trace, workers, cores_per_worker, engine, shards, executor) -> dict:
+def _sharded_row(trace, workers, cores_per_worker, shards, executor) -> dict:
     from ..sim.sharded import ShardedConfig, run_sharded_replay
 
     config = ShardedConfig(
         workers=workers,
         cores_per_worker=cores_per_worker,
         shards=shards,
-        engine=engine,
         executor=executor,
     )
     start = time.perf_counter()
     report = run_sharded_replay(trace, config)
     wall = time.perf_counter() - start
     return {
-        "engine": engine,
         "shards": shards,
         "executor": executor,
         "executor_mode": report.executor_mode,
@@ -150,8 +143,8 @@ def _sharded_row(trace, workers, cores_per_worker, engine, shards, executor) -> 
     }
 
 
-def trace_scale_matrix(scale: float = 10.0, include_baseline: bool = True) -> dict:
-    """One scale's measurement matrix (the CI smoke re-runs this at 10×)."""
+def trace_scale_matrix(scale: float = 10.0) -> dict:
+    """One scale's measurement matrix (the CI job re-runs this at 10×)."""
     from ..trace.stream import streamed_trace
 
     params = _scaled_params(scale)
@@ -166,36 +159,16 @@ def trace_scale_matrix(scale: float = 10.0, include_baseline: bool = True) -> di
             seed=42,
         )
 
-    rows = []
-    if include_baseline:
-        rows.append(
-            _baseline_single_kernel(fresh_trace(), workers * cores_per_worker)
-        )
-    # classic shards=1 is the ablation: the old generator/Resource kernel
-    # inside the new streamed + windowed data plane, isolating how much
-    # of the win is the lean kernel vs the surrounding machinery.
-    rows.append(_sharded_row(fresh_trace(), workers, cores_per_worker, "classic", 1, "serial"))
-    for shards in (1, 2, 4):
-        rows.append(_sharded_row(fresh_trace(), workers, cores_per_worker, "lean", shards, "serial"))
-    rows.append(_sharded_row(fresh_trace(), workers, cores_per_worker, "lean", 4, "auto"))
-
-    result = {
+    rows = [
+        _sharded_row(fresh_trace(), workers, cores_per_worker, shards, executor)
+        for shards, executor in ((1, "serial"), (2, "serial"), (4, "serial"), (4, "auto"))
+    ]
+    return {
         "scale": scale,
         "workers": workers,
         "cores_per_worker": cores_per_worker,
         "rows": rows,
     }
-    if include_baseline:
-        baseline = rows[0]["wall_seconds"]
-        by_key = {
-            (row.get("engine"), row.get("shards"), row.get("executor")): row
-            for row in rows
-        }
-        lean_1 = by_key[("lean", 1, "serial")]["wall_seconds"]
-        lean_4 = by_key[("lean", 4, "auto")]["wall_seconds"]
-        result["speedup_lean_1_vs_baseline"] = round(baseline / lean_1, 2)
-        result["speedup_4_shards_vs_baseline"] = round(baseline / lean_4, 2)
-    return result
 
 
 def run_trace_scale_bench(
@@ -203,13 +176,14 @@ def run_trace_scale_bench(
 ) -> dict:
     """Measure the matrix at each scale; optionally write ``output``."""
     report = {
-        "schema": "repro-bench-trace-scale/v1",
+        "schema": "repro-bench-trace-scale/v2",
         "generated_unix": int(time.time()),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": _available_cpus(),
         "floors": FLOORS,
         "measured": {f"scale_{scale:g}x": trace_scale_matrix(scale) for scale in scales},
+        "reference_10x": REFERENCE_10X,
         "reference_100x": REFERENCE_100X,
     }
     assert (

@@ -12,13 +12,19 @@ Both figures replay the (synthetic) Azure Functions trace sample:
   Firecracker+Knative (109 MB vs 2619 MB in the paper) while also
   cutting p99 latency (−46% in the paper) because no request waits on
   a snapshot restore.
+
+Both replay the eager default trace through the sharded replayer on a
+single ``cores``-core node with arrivals delivered as they come (no
+dispatch delay); the replayer's committed/active grid is the figures'
+``resample_step`` grid.
 """
 
 from __future__ import annotations
 
 from ..sim.distributions import Rng
+from ..sim.sharded import ShardedConfig, run_sharded_replay
+from ..sim.sharded.shard import PLATFORM_DANDELION, PLATFORM_FAAS
 from ..trace.azure import generate_trace
-from ..trace.replay import replay_on_dandelion, replay_on_faas
 from ..trace.sampler import sample_trace
 from .common import ExperimentResult
 
@@ -52,63 +58,80 @@ def default_trace(
     return sample_trace(population, sample_size, Rng(seed + 1))
 
 
+def _replay(trace, platform: str, cores: int, resample_step: float):
+    """One platform on one ``cores``-core node, arrivals delivered as-is."""
+    config = ShardedConfig(
+        workers=1,
+        cores_per_worker=cores,
+        dispatch_delay_seconds=0.0,
+        platform=platform,
+        grid_step=resample_step,
+        executor="serial",
+    )
+    return run_sharded_replay(trace, config)
+
+
+def _grid_times(report) -> list[float]:
+    return [index * report.grid_step for index in range(len(report.committed_grid))]
+
+
 def run_fig01(trace=None, cores: int = 16, resample_step: float = 60.0) -> ExperimentResult:
     trace = trace or default_trace()
-    report = replay_on_faas(trace, cores=cores)
+    report = _replay(trace, PLATFORM_FAAS, cores, resample_step)
     result = ExperimentResult(
         name="Fig 1",
         description="Azure trace on Knative-autoscaled MicroVMs: committed vs active memory (MiB)",
         headers=["time_s", "committed_mib", "active_mib"],
     )
-    committed_points = report.committed_series.resample(resample_step, 0, trace.duration_seconds)
-    for time, committed in committed_points:
-        active = report.active_series.value_at(min(time, trace.duration_seconds))
+    for time, committed, active in zip(
+        _grid_times(report), report.committed_grid, report.active_grid
+    ):
         result.add_row(time_s=time, committed_mib=committed / MiB, active_mib=active / MiB)
-    average_committed = report.average_committed_bytes() / MiB
-    average_active = max(report.average_active_bytes() / MiB, 1e-9)
+    average_committed = report.committed_mean_bytes / MiB
+    average_active = max(report.active_mean_bytes / MiB, 1e-9)
+    cold_fraction = report.cold_starts / report.completed if report.completed else 0.0
     result.note(
         f"average committed {average_committed:.0f} MiB vs active "
         f"{average_active:.0f} MiB -> {average_committed / average_active:.1f}x "
         "over-provisioning (paper: ~16x)"
     )
-    result.note(f"cold fraction {report.cold_fraction * 100:.1f}% (paper: ~3.3%)")
+    result.note(f"cold fraction {cold_fraction * 100:.1f}% (paper: ~3.3%)")
     return result
 
 
 def run_fig10(trace=None, cores: int = 16, resample_step: float = 60.0) -> ExperimentResult:
     trace = trace or default_trace()
-    dandelion = replay_on_dandelion(trace, cores=cores)
-    firecracker = replay_on_faas(trace, cores=cores)
+    dandelion = _replay(trace, PLATFORM_DANDELION, cores, resample_step)
+    firecracker = _replay(trace, PLATFORM_FAAS, cores, resample_step)
     result = ExperimentResult(
         name="Fig 10",
         description="Azure trace: committed memory over time, Dandelion vs Firecracker+Knative (MiB)",
         headers=["time_s", "dandelion_mib", "firecracker_mib"],
     )
-    for time, dandelion_bytes in dandelion.committed_series.resample(
-        resample_step, 0, trace.duration_seconds
+    for time, dandelion_bytes, fc_bytes in zip(
+        _grid_times(dandelion), dandelion.committed_grid, firecracker.committed_grid
     ):
-        fc_bytes = firecracker.committed_series.value_at(min(time, trace.duration_seconds))
         result.add_row(
             time_s=time,
             dandelion_mib=dandelion_bytes / MiB,
             firecracker_mib=fc_bytes / MiB,
         )
-    dandelion_avg = dandelion.average_committed_bytes() / MiB
-    firecracker_avg = firecracker.average_committed_bytes() / MiB
+    dandelion_avg = dandelion.committed_mean_bytes / MiB
+    firecracker_avg = firecracker.committed_mean_bytes / MiB
     savings = 100 * (1 - dandelion_avg / firecracker_avg)
-    p99_reduction = 100 * (
-        1 - dandelion.latencies.percentile(99) / firecracker.latencies.percentile(99)
-    )
+    dandelion_p99 = dandelion.latency_percentile(99)
+    firecracker_p99 = firecracker.latency_percentile(99)
+    p99_reduction = 100 * (1 - dandelion_p99 / firecracker_p99)
     result.note(
         f"average committed: dandelion {dandelion_avg:.0f} MiB vs firecracker "
         f"{firecracker_avg:.0f} MiB -> {savings:.1f}% less (paper: 96%, 109 vs 2619 MB)"
     )
     result.note(
-        f"p99 latency: dandelion {dandelion.latencies.percentile(99) * 1e3:.0f} ms vs "
-        f"firecracker {firecracker.latencies.percentile(99) * 1e3:.0f} ms -> "
+        f"p99 latency: dandelion {dandelion_p99 * 1e3:.0f} ms vs "
+        f"firecracker {firecracker_p99 * 1e3:.0f} ms -> "
         f"{p99_reduction:.1f}% reduction (paper: 46%)"
     )
     result.note(
-        f"requests: {dandelion.total_requests}; dandelion cold fraction 100% by design"
+        f"requests: {dandelion.completed}; dandelion cold fraction 100% by design"
     )
     return result

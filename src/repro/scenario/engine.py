@@ -339,19 +339,16 @@ def run_scenario(
     *,
     shards: int = 1,
     executor: str = "auto",
-    engine: str = "lean",
 ) -> ScenarioRun:
     """Run one spec to completion, seeded; returns a :class:`ScenarioRun`.
 
-    ``shards`` / ``executor`` / ``engine`` only apply to streamed
-    traces and cannot change the KPIs (the sharded simulator's
-    invariance contract) — which is why they are call arguments rather
-    than spec fields.
+    ``shards`` / ``executor`` only apply to streamed traces and cannot
+    change the KPIs (the sharded simulator's invariance contract) —
+    which is why they are call arguments rather than spec fields.
     """
     spec.check()
     if spec.trace.kind == "streamed":
-        return _run_streamed(spec, shards=shards, executor=executor,
-                             engine=engine)
+        return _run_streamed(spec, shards=shards, executor=executor)
     cluster, injector = assemble_cluster(spec)
     requests = build_requests(spec)
     offered, completed = _drive(cluster, spec, requests)
@@ -361,7 +358,7 @@ def run_scenario(
     )
 
 
-def _run_streamed(spec: ScenarioSpec, *, shards, executor, engine):
+def _run_streamed(spec: ScenarioSpec, *, shards, executor):
     from ..sim.sharded import ShardedConfig, run_sharded_replay
     from ..trace.stream import streamed_trace
 
@@ -379,7 +376,6 @@ def _run_streamed(spec: ScenarioSpec, *, shards, executor, engine):
         window_seconds=spec.trace.window_seconds,
         platform=spec.fleet.platform,
         policy=spec.sched.routing,
-        engine=engine,
         executor=executor,
         seed=spec.seed,
     )

@@ -311,6 +311,13 @@ class ScenarioSpec:
                      and self.faults.limp_mttf_seconds == 0,
                      "faults: fault injection is not supported on the "
                      "streamed (sharded) path yet")
+        else:
+            # Synthetic traces run on full WorkerNodes, which split their
+            # cores between a compute and a communication engine; lean
+            # streamed workers have no such split and run on one core.
+            _require(self.fleet.cores >= 2,
+                     "fleet.cores: synthetic traces run on full workers, "
+                     "which need >= 2 cores (compute + comm)")
 
     # -- derived knobs --------------------------------------------------------
 

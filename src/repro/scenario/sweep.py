@@ -104,7 +104,6 @@ def run_sweep(
     *,
     shards: int = 1,
     executor: str = "auto",
-    engine: str = "lean",
     runner=run_scenario,
 ) -> dict:
     """Run the cross-product of ``axes`` over ``spec``; returns a matrix.
@@ -126,7 +125,7 @@ def run_sweep(
     records = []
     for arm in arms:
         arm_spec = spec.with_overrides(arm)
-        run = runner(arm_spec, shards=shards, executor=executor, engine=engine)
+        run = runner(arm_spec, shards=shards, executor=executor)
         records.append({"arm": arm, "kpis": run.kpis.to_dict()})
     return {
         "schema": MATRIX_SCHEMA,

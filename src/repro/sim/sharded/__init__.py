@@ -10,7 +10,9 @@ faster choice.
 Public surface:
 
 * :func:`run_sharded_replay` — drive a :class:`~repro.trace.stream.StreamedTrace`
-  through a sharded fleet and return a :class:`ShardedReplayReport`.
+  or an eager :class:`~repro.trace.azure.AzureTrace` through a sharded
+  fleet and return a :class:`ShardedReplayReport`.  It is the repo's
+  only trace-replay model (Figs 1/10, fig10full, streamed scenarios).
 * :class:`ShardedConfig` — fleet/platform/window parameters.
 * ``messages`` — the v2 wire-format window batch/report codec.
 """

@@ -13,12 +13,11 @@ plus a constant dispatch delay), so :meth:`ShardSim.run_window` merges
 it against the heap head directly.  Each delivery still reserves one
 kernel sequence number at the barrier, which keeps same-time
 tie-breaking byte-identical to the event-object formulation and keeps
-the ``events`` KPI counting deliveries.  Worker semantics are pinned to
-:class:`~repro.trace.replay.DandelionTraceWorker`: FIFO core queueing,
-memory committed only while a core slot is held, service time = sandbox
-creation + duration.  :class:`ClassicShardSim` keeps the
-generator+``Resource`` formulation alive as the wall-clock baseline;
-the invariance suite asserts both produce byte-identical KPIs.
+the ``events`` KPI counting deliveries.  Dandelion worker semantics:
+FIFO core queueing, memory committed only while a core slot is held,
+service time = sandbox creation + duration.  The test suite pins them
+to a generator+``Resource`` reference worker (byte-identical KPIs) and
+the FaaS worker to :class:`~repro.baselines.base.FaasPlatform`.
 
 Everything a worker records is a function of its own delivery sequence
 only — workers never observe each other — so grouping workers into
@@ -32,11 +31,9 @@ from collections import deque
 from heapq import heappop, heappush
 
 from ..core import Environment
-from ..resources import Resource
 
 __all__ = [
     "ShardSim",
-    "ClassicShardSim",
     "PLATFORM_DANDELION",
     "PLATFORM_FAAS",
 ]
@@ -395,90 +392,3 @@ class ShardSim:
                 entry["cold_starts"] = worker.cold_starts
             workers.append(entry)
         return {"workers": workers, "events": self.env._seq}
-
-
-class ClassicShardSim:
-    """The classic-kernel formulation of a shard (wall-clock baseline).
-
-    Same interface as :class:`ShardSim`, but every delivery runs as a
-    generator process acquiring a :class:`~repro.sim.resources.Resource`
-    core slot — the pre-sharding simulation idiom
-    (:class:`~repro.trace.replay.DandelionTraceWorker`).  Exists so the
-    trace-scale benchmark measures the lean kernel against the real
-    alternative, and so the invariance suite can pin the two kernels to
-    byte-identical KPIs.  Dandelion platform only.
-    """
-
-    __slots__ = ("env", "workers", "worker_indices", "cores", "_by_global")
-
-    def __init__(self, worker_indices, config: dict):
-        if config["platform"] != PLATFORM_DANDELION:
-            raise ValueError("classic engine models the dandelion platform only")
-        self.env = Environment()
-        self.worker_indices = tuple(worker_indices)
-        self.cores = config["cores_per_worker"]
-        self.workers = [
-            _ClassicDandelionWorker(
-                self.env, self.cores, config["creation_seconds"],
-                config["memory_of"], config["duration_seconds"], config["grid_step"],
-            )
-            for _ in self.worker_indices
-        ]
-        self._by_global = {
-            index: worker for index, worker in zip(self.worker_indices, self.workers)
-        }
-
-    def run_window(self, records, end: float) -> None:
-        env = self.env
-        by_global = self._by_global
-        for delivery, worker, fn_index, duration, arrival in records:
-            env.process(by_global[worker].serve(delivery, fn_index, duration, arrival))
-        env.run(until=end)
-
-    drain_latencies = ShardSim.drain_latencies
-    final_summary = ShardSim.final_summary
-
-    def outstanding(self) -> list[int]:
-        return [w.outstanding for w in self.workers]
-
-    @property
-    def events(self) -> int:
-        return self.env._seq
-
-
-class _ClassicDandelionWorker:
-    """Generator+Resource restatement of :class:`_LeanDandelionWorker`."""
-
-    __slots__ = (
-        "env", "cores", "creation", "memory_of", "committed",
-        "latencies", "series", "completed", "outstanding",
-    )
-
-    def __init__(self, env, cores, creation_seconds, memory_of, duration, grid_step):
-        self.env = env
-        self.cores = Resource(env, capacity=cores)
-        self.creation = creation_seconds
-        self.memory_of = memory_of
-        self.committed = 0
-        self.latencies: list[float] = []
-        self.series = _StepSeries(duration, grid_step)
-        self.completed = 0
-        self.outstanding = 0
-
-    def serve(self, delivery, fn_index, duration, arrival):
-        env = self.env
-        delay = delivery - env._now
-        if delay > 0:
-            yield env.timeout(delay)
-        self.outstanding += 1
-        memory = self.memory_of[fn_index]
-        with self.cores.acquire() as slot:
-            yield slot
-            self.committed += memory
-            self.series.record(env._now, self.committed)
-            yield env.timeout(self.creation + duration)
-            self.committed -= memory
-            self.series.record(env._now, self.committed)
-        self.latencies.append(env._now - arrival)
-        self.completed += 1
-        self.outstanding -= 1

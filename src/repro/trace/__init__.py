@@ -1,14 +1,11 @@
-"""Azure-Functions-like trace synthesis, sampling, and replay."""
+"""Azure-Functions-like trace synthesis and sampling.
+
+Replay lives in :mod:`repro.sim.sharded`, which takes the eager
+:class:`AzureTrace` and the lazy :class:`StreamedTrace` alike.
+"""
 
 from .azure import AzureTrace, Invocation, TraceFunction, generate_trace
 from .azure import generate_functions
-from .replay import (
-    GUEST_OS_OVERHEAD_BYTES,
-    DandelionTraceWorker,
-    ReplayReport,
-    replay_on_dandelion,
-    replay_on_faas,
-)
 from .sampler import sample_functions, sample_trace
 from .stream import StreamedTrace, streamed_trace
 
@@ -20,11 +17,6 @@ __all__ = [
     "TraceFunction",
     "generate_trace",
     "generate_functions",
-    "GUEST_OS_OVERHEAD_BYTES",
-    "DandelionTraceWorker",
-    "ReplayReport",
-    "replay_on_dandelion",
-    "replay_on_faas",
     "sample_functions",
     "sample_trace",
 ]

@@ -26,6 +26,7 @@ same* request sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..sim.distributions import Rng
 
@@ -102,6 +103,20 @@ class AzureTrace:
 
     def invocations_of(self, name: str) -> list[Invocation]:
         return [inv for inv in self.invocations if inv.function_name == name]
+
+    def memory_bytes(self) -> list[int]:
+        """Per-function memory footprint, indexed like :meth:`iter_invocations`."""
+        return [fn.memory_bytes for fn in self.functions]
+
+    def iter_invocations(self) -> Iterator[tuple]:
+        """``(time, function_index, duration_seconds)`` in trace order.
+
+        The tuple form :class:`~repro.trace.stream.StreamedTrace` yields,
+        so the sharded replayer takes eager and streamed traces alike.
+        """
+        index_of = {fn.name: index for index, fn in enumerate(self.functions)}
+        for inv in self.invocations:
+            yield (inv.time, index_of[inv.function_name], inv.duration_seconds)
 
 
 def _clamped_lognormal(rng: Rng, median: float, sigma: float, low: float, high: float) -> float:

@@ -48,6 +48,20 @@ def test_scn001_validation_error():
     assert "exactly one of rps" in diagnostics[0].message
 
 
+def test_scn001_single_core_synthetic_fleet():
+    # Full workers need a compute and a comm core; without this check
+    # the spec passed lint and died at cluster assembly.
+    diagnostics = lint_scenario_text(
+        "seed = 1\n\n[trace]\nrps = 1.0\n\n[fleet]\ncores = 1\n", "bad.toml"
+    )
+    assert _codes(diagnostics) == ["SCN001"]
+    assert "fleet.cores" in diagnostics[0].message
+    streamed = lint_scenario_text(
+        "seed = 1\n\n[trace]\nkind = \"streamed\"\n\n[fleet]\ncores = 1\n", "ok.toml"
+    )
+    assert streamed == []
+
+
 def test_scn002_to_scn005_unknown_names():
     text = (
         "seed = 1\n\n[trace]\nrps = 1.0\n\n"

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.bench_kernel import BENCH_GROUPS, run_bench
 from repro.experiments.bench_trace_scale import (
     FLOORS,
+    REFERENCE_10X,
     REFERENCE_100X,
     trace_scale_matrix,
 )
@@ -30,30 +31,31 @@ def test_acceptance_record_meets_floor():
 def test_committed_bench_report_is_consistent():
     path = REPO_ROOT / "BENCH_trace_scale.json"
     report = json.loads(path.read_text())
-    assert report["schema"] == "repro-bench-trace-scale/v1"
+    assert report["schema"] == "repro-bench-trace-scale/v2"
     assert report["floors"] == FLOORS
+    assert report["reference_10x"] == REFERENCE_10X
     assert report["reference_100x"] == REFERENCE_100X
     matrix = report["measured"]["scale_10x"]
-    assert matrix["speedup_lean_1_vs_baseline"] >= FLOORS["speedup_lean_1_min_10x"]
-    assert matrix["speedup_4_shards_vs_baseline"] >= FLOORS["speedup_4_shards_min_10x"]
-    engines = [row["engine"] for row in matrix["rows"]]
-    assert engines[0] == "baseline_single_kernel"
-    assert engines.count("lean") >= 3
+    assert [(row["shards"], row["executor"]) for row in matrix["rows"]] == [
+        (1, "serial"), (2, "serial"), (4, "serial"), (4, "auto"),
+    ]
+    for row in matrix["rows"]:
+        assert row["invocations"] == REFERENCE_10X["invocations"]
+        assert row["events_per_second"] >= FLOORS["events_per_second_min"]
 
 
 def test_matrix_smoke_without_baseline():
-    # A tiny matrix run: rows present, events/sec recorded, no speedups
-    # when the baseline is skipped.
-    matrix = trace_scale_matrix(scale=0.5, include_baseline=False)
-    assert "speedup_4_shards_vs_baseline" not in matrix
-    assert len(matrix["rows"]) == 5
+    # A tiny matrix run: lean rows only (the eager baseline is a frozen
+    # reference record), events/sec recorded, no speedups.
+    matrix = trace_scale_matrix(scale=0.5)
+    assert not any(key.startswith("speedup") for key in matrix)
+    assert len(matrix["rows"]) == 4
     for row in matrix["rows"]:
         assert row["invocations"] > 0
         assert row["events_per_second"] > 0
         assert row["wall_seconds"] >= 0
-    lean_rows = [r for r in matrix["rows"] if r["engine"] == "lean"]
     assert {r["invocations"] for r in matrix["rows"]} == {
-        lean_rows[0]["invocations"]
+        matrix["rows"][0]["invocations"]
     }, "all rows must replay the same stream"
 
 

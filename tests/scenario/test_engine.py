@@ -30,6 +30,25 @@ def test_same_spec_same_seed_identical_kpi_record():
     assert first.kpis.spec_digest == spec.digest()
 
 
+def test_crash_reroutes_are_deterministic():
+    # Worker crashes interrupt every waiting invocation; re-routing
+    # them in id()-hash order made retries differ run to run.
+    spec = load_spec("sec62").with_overrides({
+        "fleet.workers": 5,
+        "faults.mttf_seconds": 0.2,
+        "faults.transient_rate": 0.9,
+        "faults.max_retries": 1,
+        "trace.duration_seconds": 0.5,
+        "sched.routing": "gray",
+        "sched.latency_health": True,
+        "seed": 621,
+    })
+    first = run_scenario(spec).kpis
+    second = run_scenario(spec).kpis
+    assert first.counters["crashes"] > 0 and first.counters["reroutes"] > 0
+    assert first.to_json() == second.to_json()
+
+
 def test_different_seed_different_arrivals():
     base = _mini_spec()
     other = base.with_overrides({"seed": 4})
@@ -72,3 +91,14 @@ def test_streamed_spec_runs_through_sharded_replay():
     # Streamed KPIs don't model utilization/imbalance.
     assert math.isnan(run.kpis.utilization)
     assert "committed_mean_mib" in run.kpis.extras
+
+
+def test_streamed_spec_runs_on_single_core_workers():
+    # Lean streamed workers have no compute/comm split, so the
+    # two-core floor of synthetic (full-worker) specs does not apply.
+    spec = load_spec("fig10_full").with_overrides({
+        "trace.scale": 0.5, "trace.duration_seconds": 30.0,
+        "fleet.workers": 4, "fleet.cores": 1,
+    })
+    run = run_scenario(spec, shards=1, executor="serial")
+    assert run.kpis.completed == run.kpis.offered > 0

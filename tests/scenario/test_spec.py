@@ -69,7 +69,9 @@ def _spec_dicts(draw):
         },
         "fleet": {
             "workers": draw(st.integers(1, 64)),
-            "cores": draw(st.integers(1, 64)),
+            # Full workers split compute and comm cores; lean streamed
+            # workers run on one.
+            "cores": draw(st.integers(2 if kind == "synthetic" else 1, 64)),
             "backend": draw(_identifiers),
             "machine": draw(_identifiers),
             "platform": draw(st.sampled_from(["dandelion", "faas"])),
@@ -142,6 +144,15 @@ def test_streamed_rejects_fault_injection():
             "trace": {"kind": "streamed"},
             "faults": {"mttf_seconds": 10.0},
         })
+
+
+def test_synthetic_trace_needs_two_cores_streamed_runs_on_one():
+    with pytest.raises(SpecError, match="fleet.cores: synthetic traces"):
+        scenario_from_dict({"trace": {"rps": 10.0}, "fleet": {"cores": 1}})
+    with pytest.raises(SpecError, match="fleet.cores: synthetic traces"):
+        scenario_from_dict({"trace": {"rps": 10.0}}).with_overrides({"fleet.cores": 1})
+    streamed = scenario_from_dict({"trace": {"kind": "streamed"}, "fleet": {"cores": 1}})
+    assert streamed.fleet.cores == 1
 
 
 def test_overrides_apply_and_recheck():

@@ -1,11 +1,18 @@
-"""Sharded simulator: codec, invariance, engine equivalence, observability."""
+"""Sharded simulator: codec, invariance, reference models, observability."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.baselines.base import FaasPlatform, FunctionModel, KeepAlivePolicy, compute_phase
+from repro.baselines.specs import FIRECRACKER_SNAPSHOT
 from repro.cluster.sharding import INVOCATION, ShardPlan
-from repro.sim.sharded import ShardedConfig, run_sharded_replay
+from repro.sim.core import Environment
+from repro.sim.resources import Resource
+from repro.sim.sharded import ShardedConfig, coordinator, run_sharded_replay
+from repro.sim.sharded.coordinator import GUEST_OS_OVERHEAD_BYTES, KNATIVE_COLD_OVERHEAD_SECONDS
+from repro.sim.sharded.shard import ShardSim, _StepSeries
 from repro.sim.sharded.messages import (
     decode_final_report,
     decode_latencies,
@@ -15,6 +22,7 @@ from repro.sim.sharded.messages import (
     encode_window_batch,
     encode_window_report,
 )
+from repro.trace.azure import generate_trace
 from repro.trace.stream import streamed_trace
 
 SMALL = dict(function_count=150, duration_seconds=60.0, total_rps=30.0, seed=42)
@@ -24,13 +32,12 @@ def small_trace():
     return streamed_trace(**SMALL)
 
 
-def replay(platform="dandelion", shards=1, engine="lean", executor="serial", **kw):
+def replay(platform="dandelion", shards=1, executor="serial", **kw):
     config = ShardedConfig(
         workers=6,
         cores_per_worker=8,
         shards=shards,
         platform=platform,
-        engine=engine,
         executor=executor,
         **kw,
     )
@@ -39,6 +46,80 @@ def replay(platform="dandelion", shards=1, engine="lean", executor="serial", **k
 
 def summary_key(report):
     return json.dumps(report.summary(), sort_keys=True)
+
+
+class _ReferenceDandelionWorker:
+    """Generator+``Resource`` restatement of the lean Dandelion worker.
+
+    The pre-sharding simulation idiom: every delivery is a process
+    that waits for a core slot, commits the function's memory while it
+    holds the slot, and runs for creation + duration.
+    """
+
+    def __init__(self, env, cores, creation_seconds, memory_of, duration, grid_step):
+        self.env = env
+        self.cores = Resource(env, capacity=cores)
+        self.creation = creation_seconds
+        self.memory_of = memory_of
+        self.committed = 0
+        self.latencies = []
+        self.series = _StepSeries(duration, grid_step)
+        self.completed = 0
+        self.outstanding = 0
+
+    def serve(self, delivery, fn_index, duration, arrival):
+        env = self.env
+        delay = delivery - env.now
+        if delay > 0:
+            yield env.timeout(delay)
+        self.outstanding += 1
+        memory = self.memory_of[fn_index]
+        with self.cores.acquire() as slot:
+            yield slot
+            self.committed += memory
+            self.series.record(env.now, self.committed)
+            yield env.timeout(self.creation + duration)
+            self.committed -= memory
+            self.series.record(env.now, self.committed)
+        self.latencies.append(env.now - arrival)
+        self.completed += 1
+        self.outstanding -= 1
+
+
+class ReferenceShardSim:
+    """Drop-in for :class:`ShardSim` over the reference Dandelion worker.
+
+    Test-only: the equivalence test swaps it into the coordinator so
+    both kernels see the same routed delivery stream.
+    """
+
+    def __init__(self, worker_indices, config):
+        assert config["platform"] == "dandelion"
+        self.env = Environment()
+        self.cores = config["cores_per_worker"]
+        self.workers = [
+            _ReferenceDandelionWorker(
+                self.env, self.cores, config["creation_seconds"],
+                config["memory_of"], config["duration_seconds"], config["grid_step"],
+            )
+            for _ in worker_indices
+        ]
+        self._by_global = dict(zip(worker_indices, self.workers))
+
+    def run_window(self, records, end):
+        for delivery, worker, fn_index, duration, arrival in records:
+            self.env.process(self._by_global[worker].serve(delivery, fn_index, duration, arrival))
+        self.env.run(until=end)
+
+    drain_latencies = ShardSim.drain_latencies
+    final_summary = ShardSim.final_summary
+
+    def outstanding(self):
+        return [w.outstanding for w in self.workers]
+
+    @property
+    def events(self):
+        return self.env._seq
 
 
 class TestShardPlan:
@@ -108,16 +189,40 @@ class TestShardCountInvariance:
 
 
 class TestEngineEquivalence:
-    def test_classic_matches_lean_modulo_events(self):
-        lean = replay(engine="lean", shards=1).summary()
-        classic = replay(engine="classic", shards=2).summary()
+    def test_classic_matches_lean_modulo_events(self, monkeypatch):
+        lean = replay(shards=1).summary()
+        monkeypatch.setattr(coordinator, "ShardSim", ReferenceShardSim)
+        classic = replay(shards=2).summary()
         lean_events = lean.pop("events")
         classic_events = classic.pop("events")
         assert lean == classic
         # Lean: one reserved delivery seq + one completion per
-        # invocation; classic: generator Process + Resource machinery.
+        # invocation; reference: generator Process + Resource machinery.
         assert lean_events == 2 * lean["routed"]
         assert classic_events > lean_events
+
+    def test_lean_faas_matches_faas_platform(self):
+        # A node that never runs more requests than it has cores, so
+        # the platform's processor-sharing CPU and the lean FIFO core
+        # pool serve every request identically.
+        trace = generate_trace(function_count=10, duration_seconds=240, total_rps=8, seed=21)
+        cores = 64
+        lean = run_sharded_replay(trace, ShardedConfig(
+            workers=1, cores_per_worker=cores, dispatch_delay_seconds=0.0,
+            platform="faas", executor="serial",
+        ))
+        reference = _faas_platform_replay(trace, cores)
+        assert lean.completed == reference.cold_requests + reference.hot_requests
+        assert 0 < lean.cold_starts < lean.completed
+        assert lean.cold_starts / lean.completed == reference.cold_fraction()
+        assert lean.latency_percentile(99) == reference.latencies.percentile(99)
+        duration = trace.duration_seconds
+        assert lean.committed_mean_bytes == pytest.approx(
+            reference.committed_series.time_weighted_mean(0, duration), rel=1e-9
+        )
+        assert lean.active_mean_bytes == pytest.approx(
+            reference.active_series.time_weighted_mean(0, duration), rel=1e-9
+        )
 
     def test_faas_platform_has_cold_starts_and_active_memory(self):
         report = replay(platform="faas", shards=2)
@@ -174,3 +279,47 @@ class TestWindowSemantics:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             replay(engine="warp")
+        with pytest.raises(ValueError, match="unknown engine"):
+            replay(engine="classic")
+
+
+def _faas_platform_replay(trace, cores):
+    """Firecracker+Knative on :class:`FaasPlatform` with keep-alive.
+
+    The platform registers static phases per function; the trace has a
+    duration per invocation, so each request serves a one-off model
+    carrying the registered function's name and memory.
+    """
+    env = Environment()
+    spec = dataclasses.replace(
+        FIRECRACKER_SNAPSHOT,
+        cold_start_seconds=FIRECRACKER_SNAPSHOT.cold_start_seconds
+        + KNATIVE_COLD_OVERHEAD_SECONDS,
+    )
+    platform = FaasPlatform(env, spec, cores=cores, policy=KeepAlivePolicy(75.0))
+    functions = {f.name: f for f in trace.functions}
+    for function in trace.functions:
+        platform.register_function(
+            function.name,
+            [compute_phase(function.median_duration_seconds)],
+            memory_bytes=function.memory_bytes + GUEST_OS_OVERHEAD_BYTES,
+        )
+
+    def driver():
+        processes = []
+        for invocation in trace.invocations:
+            delay = invocation.time - env.now
+            if delay > 0:
+                yield env.timeout(delay)
+            function = functions[invocation.function_name]
+            model = FunctionModel(
+                function.name,
+                (compute_phase(invocation.duration_seconds),),
+                function.memory_bytes + GUEST_OS_OVERHEAD_BYTES,
+            )
+            processes.append(env.process(platform._serve(model)))
+        for process in processes:
+            yield process
+
+    env.run(until=env.process(driver()))
+    return platform
